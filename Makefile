@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-taurus bench bench-paper
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,17 +58,17 @@ audit-integrity:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend aurora --jobs $(JOBS)
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend taurus --jobs $(JOBS)
 
-# Adaptive group-commit smoke: one reduced run of every audit profile
-# with group_commit=adaptive forced, so the load-derived boxcar window
-# is exercised under chaos, failover, geo, proxy, and integrity schedules
-# -- not just the benchmarks (see docs/PERF.md "Adaptive boxcar").
-audit-adaptive:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --fleet --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --failover --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --geo --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --proxy --proxy-sessions 20000 --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --integrity --backend aurora --group-commit adaptive
+# Taurus backend smoke: one reduced run of every audit profile on the
+# Taurus storage backend (log stores + page stores), so --backend is
+# exercised under chaos, fleet, failover, geo, proxy, and integrity
+# schedules -- not just the integrity gate (see docs/AUDIT.md).
+audit-taurus:
+	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --backend taurus
+	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --fleet --backend taurus
+	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --failover --backend taurus
+	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --geo --backend taurus
+	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --proxy --proxy-sessions 20000 --backend taurus
+	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --integrity --backend taurus
 
 # Engine perf harness: batched fast path vs an unbatched baseline of the
 # same seeded workload, recorded in BENCH_engine.json; --check exits

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.workloads.generator import percentile  # noqa: F401  (re-export)
+
 
 def pytest_addoption(parser) -> None:
     parser.addoption(
@@ -44,14 +46,6 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-
-
-def percentile(series: list[float], q: float) -> float:
-    if not series:
-        return 0.0
-    ordered = sorted(series)
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
 
 
 def fmt(value: float, digits: int = 3) -> str:

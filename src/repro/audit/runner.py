@@ -111,16 +111,6 @@ class AuditRunConfig:
     #: Counter update per simulated message on the hottest path.  The
     #: engine benchmark arms it to measure batching ratios.
     detailed_stats: bool = False
-    #: Write-path batching mode: "aurora" (boxcar batching, the default)
-    #: or "immediate" (one WriteBatch per record, replication unframed).
-    #: "immediate" exists for the perf harness, which measures the fast
-    #: path against an unbatched run of the same workload.
-    boxcar: str = "aurora"
-    #: Group-commit policy for the writer's driver (see
-    #: :data:`repro.db.driver.GROUP_COMMIT_POLICIES`).  Audit sweeps run
-    #: with "adaptive" in CI to prove the derived window keeps every
-    #: invariant; "fixed" stays the default for bit-compatible baselines.
-    group_commit: str = "fixed"
     #: Geo-replicated disaster-recovery mode: build a two-region
     #: :class:`repro.geo.GeoCluster`, run the workload through a
     #: region-aware session, inject exactly one terminal region event
@@ -150,9 +140,8 @@ class AuditRunConfig:
     #: every corruption repaired inside ``integrity_repair_budget_ms``
     #: (see DESIGN.md section 12).
     integrity: bool = False
-    #: Storage backend for the cluster under audit ("aurora" or "taurus");
-    #: currently plumbed by the integrity mode, which must prove the
-    #: verification machinery on both layouts.
+    #: Storage backend for the cluster under audit ("aurora" or "taurus"),
+    #: honoured by every profile (geo builds both regions on it).
     backend: str = "aurora"
     #: Injection-to-repair budget per corruption (ms).
     integrity_repair_budget_ms: float = 12_000.0
@@ -294,13 +283,14 @@ class AuditReport:
     proxy_ok: bool | None = None
     #: Integrity telemetry (None when ``integrity`` is off): the
     #: :class:`repro.analysis.integrity.IntegrityReport` (picklable, so
-    #: sweeps can merge MTTD/MTTR/exposure distributions across seeds),
-    #: the storage backend audited, and the gate -- at least one
-    #: corruption injected, zero corrupt reads served, every corruption
-    #: repaired inside budget, zero auditor violations.
+    #: sweeps can merge MTTD/MTTR/exposure distributions across seeds)
+    #: and the gate -- at least one corruption injected, zero corrupt
+    #: reads served, every corruption repaired inside budget, zero
+    #: auditor violations.
     integrity: object | None = None
-    backend: str = ""
     integrity_ok: bool | None = None
+    #: Name of the storage backend the run built (every profile).
+    backend: str = ""
     #: Engine telemetry for the perf harness (`repro bench-engine`).
     events_executed: int = 0
     messages_sent: int = 0
@@ -411,12 +401,9 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
         return _run_proxy_audit(cfg, wall_start)
     if cfg.integrity:
         return _run_integrity_audit(cfg, wall_start)
-    cluster_cfg = ClusterConfig(seed=cfg.seed, pg_count=cfg.pg_count)
-    if cfg.boxcar == "immediate":
-        from repro.db.driver import BoxcarMode
-
-        cluster_cfg.instance.driver.boxcar_mode = BoxcarMode.IMMEDIATE
-    cluster_cfg.instance.driver.group_commit = cfg.group_commit
+    cluster_cfg = ClusterConfig(
+        seed=cfg.seed, pg_count=cfg.pg_count, backend=cfg.backend
+    )
     cluster = AuroraCluster.build(config=cluster_cfg, seed=cfg.seed)
     cluster.network.set_stats_detail(cfg.detailed_stats)
     auditor = Auditor(tail_size=cfg.tail_size)
@@ -508,6 +495,7 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
         failovers=failovers,
         writer_kills=runner.writer_kills,
         failover_ok=failover_ok,
+        backend=cluster.backend.name,
         events_executed=cluster.loop.events_executed,
         messages_sent=cluster.network.stats.messages_sent,
         wall_clock_s=time.perf_counter() - wall_start,
@@ -548,7 +536,6 @@ def _run_integrity_audit(
         backend=cfg.backend,
         node=node_cfg,
     )
-    cluster_cfg.instance.driver.group_commit = cfg.group_commit
     cluster = AuroraCluster.build(config=cluster_cfg, seed=cfg.seed)
     cluster.network.set_stats_detail(cfg.detailed_stats)
     auditor = Auditor(tail_size=cfg.tail_size)
@@ -618,7 +605,7 @@ def _run_integrity_audit(
         return sum(n.counters[counter] for n in cluster.nodes.values())
 
     report = integrity_report(
-        backend=cfg.backend,
+        backend=cluster.backend.name,
         by_kind=integrity.by_kind(),
         mttd_samples_ms=integrity.mttd_samples(),
         mttr_samples_ms=integrity.mttr_samples(),
@@ -655,8 +642,8 @@ def _run_integrity_audit(
         violations=list(auditor.violations),
         event_tail=auditor.event_tail,
         integrity=report,
-        backend=cfg.backend,
         integrity_ok=integrity_ok,
+        backend=cluster.backend.name,
         events_executed=cluster.loop.events_executed,
         messages_sent=cluster.network.stats.messages_sent,
         wall_clock_s=time.perf_counter() - wall_start,
@@ -689,8 +676,9 @@ def _run_proxy_audit(cfg: AuditRunConfig, wall_start: float) -> AuditReport:
         SessionScaleWorkload,
     )
 
-    cluster_cfg = ClusterConfig(seed=cfg.seed, pg_count=cfg.pg_count)
-    cluster_cfg.instance.driver.group_commit = cfg.group_commit
+    cluster_cfg = ClusterConfig(
+        seed=cfg.seed, pg_count=cfg.pg_count, backend=cfg.backend
+    )
     cluster = AuroraCluster.build(config=cluster_cfg, seed=cfg.seed)
     cluster.network.set_stats_detail(cfg.detailed_stats)
     auditor = Auditor(tail_size=cfg.tail_size)
@@ -798,6 +786,7 @@ def _run_proxy_audit(cfg: AuditRunConfig, wall_start: float) -> AuditReport:
         serving=serving,
         proxy_sessions=cfg.proxy_sessions,
         proxy_ok=proxy_ok,
+        backend=cluster.backend.name,
         events_executed=cluster.loop.events_executed,
         messages_sent=cluster.network.stats.messages_sent,
         wall_clock_s=time.perf_counter() - wall_start,
@@ -833,7 +822,7 @@ def _run_geo_audit(cfg: AuditRunConfig, wall_start: float) -> AuditReport:
             seed=cfg.seed,
             pg_count=cfg.pg_count,
             ack_mode=ack_mode,
-            group_commit=cfg.group_commit,
+            backend=cfg.backend,
         )
     )
     geo.network.set_stats_detail(cfg.detailed_stats)
@@ -907,6 +896,7 @@ def _run_geo_audit(cfg: AuditRunConfig, wall_start: float) -> AuditReport:
         geo_ack_mode=ack_mode,
         geo_rpo_rto=rpo_rto,
         geo_ok=geo_ok,
+        backend=geo.primary.backend.name,
         events_executed=geo.loop.events_executed,
         messages_sent=geo.network.stats.messages_sent,
         wall_clock_s=time.perf_counter() - wall_start,

@@ -19,7 +19,6 @@ import argparse
 import sys
 
 from repro import AuroraCluster, ClusterConfig
-from repro.db.driver import GROUP_COMMIT_POLICIES
 from repro.db.session import Session
 from repro.report import cluster_report, format_report
 from repro.workloads import PROFILES, WorkloadGenerator, WorkloadRunner, profile
@@ -114,7 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mttr", type=float, default=150.0, metavar="MS",
         help="background failure MTTR in simulated ms",
     )
-    audit.add_argument(
+    # The audit profiles each reshape the whole run; combining them would
+    # let the last one silently undo the others.
+    profiles = audit.add_mutually_exclusive_group()
+    profiles.add_argument(
         "--fleet", action="store_true",
         help="fleet mode: 10-PG volume, a 9-PG permanent kill storm with "
              "a same-PG double fault, correlated AZ failure bursts, and "
@@ -134,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "writer kills and grey failures (implied by --fleet); the "
              "sweep footer reports failover windows vs the ~30s budget",
     )
-    audit.add_argument(
+    profiles.add_argument(
         "--geo", action="store_true",
         help="geo disaster-recovery mode: a two-region Global Database "
              "over a lossy WAN, one terminal region event (region loss "
@@ -148,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="geo commit ack mode; 'auto' alternates by seed parity so "
              "a sweep covers both RPO regimes",
     )
-    audit.add_argument(
+    profiles.add_argument(
         "--proxy", action="store_true",
         help="serving-tier mode: a lag-aware connection-multiplexing "
              "proxy fronts the session fleet through one writer kill "
@@ -166,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--proxy-pool", type=int, default=128, metavar="N",
         help="backend connection-pool size in --proxy mode",
     )
-    audit.add_argument(
+    profiles.add_argument(
         "--integrity", action="store_true",
         help="silent-corruption mode: seeded bit-rot, torn, lost, and "
              "misdirected writes against the storage fleet with read-time "
@@ -177,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--backend", choices=("aurora", "taurus"), default="aurora",
-        help="storage backend under test in --integrity mode",
+        help="storage backend of the cluster under audit, in every "
+             "profile",
     )
     audit.add_argument(
         "--integrity-json", metavar="PATH", default="",
@@ -188,13 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="K",
         help="run sweep seeds across K worker processes (seeds are "
              "independent, so reports are byte-identical to --jobs 1)",
-    )
-    audit.add_argument(
-        "--group-commit", choices=GROUP_COMMIT_POLICIES, default="fixed",
-        help="writer group-commit policy: 'adaptive' derives the boxcar "
-             "window from observed load (EWMA of arrival gaps), "
-             "'quorum-piggyback' rides flushes on ack round-trips, "
-             "'immediate' flushes per record",
     )
 
     bench = sub.add_parser(
@@ -224,11 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "batched/unbatched ratio on the same host) or on a "
              "genuinely-parallel >=4-seed sweep running no faster than "
              "the sequential one",
-    )
-    bench.add_argument(
-        "--group-commit", choices=GROUP_COMMIT_POLICIES, default="fixed",
-        help="group-commit policy for the measured batched runs "
-             "(the unbatched baseline always flushes per record)",
     )
     bench.add_argument(
         "--profile", action="store_true",
@@ -370,6 +361,7 @@ def _audit_config(args: argparse.Namespace, seed: int):
         background_failures=not args.no_background,
         background_mttf_ms=args.mttf,
         background_mttr_ms=args.mttr,
+        backend=args.backend,
     )
     if args.fleet:
         config.as_fleet()
@@ -386,17 +378,15 @@ def _audit_config(args: argparse.Namespace, seed: int):
         )
     if args.pgs > 0:
         config.pg_count = args.pgs
-    if getattr(args, "geo", False):
+    if args.geo:
         config.as_geo()
         config.geo_ack_mode = args.geo_ack
-    if getattr(args, "proxy", False):
+    if args.proxy:
         config.as_proxy()
         config.proxy_sessions = args.proxy_sessions
         config.proxy_pool = args.proxy_pool
-    if getattr(args, "integrity", False):
+    if args.integrity:
         config.as_integrity()
-        config.backend = args.backend
-    config.group_commit = getattr(args, "group_commit", "fixed")
     return config
 
 
@@ -498,7 +488,7 @@ def _cmd_audit_run(args: argparse.Namespace) -> int:
             )
             for line in merged.render_lines():
                 print(line)
-    if integrity_reports and getattr(args, "integrity_json", ""):
+    if integrity_reports and args.integrity_json:
         import json
 
         from repro.analysis import merge_integrity_reports
@@ -519,7 +509,6 @@ def _bench_run(
     steps: int,
     boxcar: str,
     detailed: bool,
-    group_commit: str = "fixed",
 ) -> dict:
     """One measured run of the C1-style concurrent write workload.
 
@@ -534,7 +523,6 @@ def _bench_run(
     config = ClusterConfig(seed=seed)
     if boxcar == "immediate":
         config.instance.driver.boxcar_mode = BoxcarMode.IMMEDIATE
-    config.instance.driver.group_commit = group_commit
     clients = 16
     cluster = AuroraCluster.build(config)
     cluster.network.set_stats_detail(detailed)
@@ -569,7 +557,7 @@ def _profile_bench(args: argparse.Namespace) -> list[dict]:
 
     prof = cProfile.Profile()
     prof.enable()
-    _bench_run(args.seed, args.steps, "aurora", False, args.group_commit)
+    _bench_run(args.seed, args.steps, "aurora", False)
     prof.disable()
     prof.create_stats()
     rows = []
@@ -601,9 +589,7 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         # Fastest of `reps` identical runs: scheduler noise only ever
         # slows a run down, so the minimum is the cleanest estimate.
         runs = [
-            _bench_run(
-                args.seed, args.steps, boxcar, detailed, args.group_commit
-            )
+            _bench_run(args.seed, args.steps, boxcar, detailed)
             for _ in range(reps)
         ]
         return min(runs, key=lambda r: r["wall_clock_s"])
@@ -650,7 +636,6 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         "schema": 1,
         "seed": args.seed,
         "steps": args.steps,
-        "group_commit": args.group_commit,
         "single_seed": {
             "baseline_unbatched": baseline,
             "fast_batched": fast,
@@ -723,8 +708,7 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         profile_out = out.with_name(out.stem + "_profile.json")
         profile_out.write_text(
             json.dumps(
-                {"seed": args.seed, "steps": args.steps,
-                 "group_commit": args.group_commit, "top": rows},
+                {"seed": args.seed, "steps": args.steps, "top": rows},
                 indent=2,
             )
             + "\n"
@@ -747,8 +731,24 @@ _COMMANDS = {
 }
 
 
+def _reject_dropped_audit_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Usage-error (exit 2) on audit flags the chosen profile would drop."""
+    if args.failover and (args.geo or args.integrity):
+        parser.error(
+            "audit-run: --failover cannot be combined with --geo or "
+            "--integrity (both profiles run without writer failover)"
+        )
+    if args.integrity_json and not args.integrity:
+        parser.error("audit-run: --integrity-json requires --integrity")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "audit-run":
+        _reject_dropped_audit_flags(parser, args)
     if getattr(args, "sub_seed", None) is not None:
         args.seed = args.sub_seed
     return _COMMANDS[args.command](args)

@@ -1,10 +1,9 @@
 """One retry/backoff policy for every retrying subsystem.
 
-Three separate call sites grew the same exponential-backoff idiom
+Several subsystems grew the same exponential-backoff idiom
 independently: the repair planner's baseline hydration (retry the RPC
-with doubling waits), the storage driver's epoch-rejected resubmission
-(re-send retained batches under adopted epochs), and -- newest -- the
-geo tier's WAN retransmission.  This module extracts the one policy they
+with doubling waits), the storage node's quorum-vote rounds, and the geo
+tier's WAN retransmission.  This module extracts the one policy they
 share:
 
 - a :class:`RetryPolicy` value object (base delay, cap, multiplier,
@@ -50,12 +49,6 @@ class RetryPolicy:
             raise ConfigurationError("multiplier must be >= 1.0")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError("jitter must be in [0, 1)")
-
-    @classmethod
-    def immediate(cls) -> "RetryPolicy":
-        """No waiting between attempts (the driver's one-extra-request
-        resubmission default, per the paper's stale-epoch rule)."""
-        return cls(base_ms=0.0, cap_ms=0.0)
 
     def delay_for(self, attempt: int) -> float:
         """The un-jittered delay before retry number ``attempt`` (0-based)."""

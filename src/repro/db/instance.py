@@ -8,7 +8,7 @@ This actor ties everything together:
 - streams records through the storage driver and advances SCL -> PGCL ->
   VCL/VDL purely from acknowledgement bookkeeping,
 - acknowledges commits when their SCN passes the VCL (section 2.3) with no
-  flush, no consensus, and no group-commit stall,
+  flush, no consensus, and no group commit stall,
 - serves reads from its own durability bookkeeping (no quorum reads),
 - publishes the physical replication stream, and
 - re-establishes every consistency point from segment state at crash

@@ -103,9 +103,6 @@ class GeoConfig:
     sender: GeoSenderConfig | None = None
     #: Name prefix / AZ prefix for the secondary region.
     secondary_region: str = "geo"
-    #: Group-commit policy for both regions' writers (see
-    #: :data:`repro.db.driver.GROUP_COMMIT_POLICIES`).
-    group_commit: str = "fixed"
 
     def __post_init__(self) -> None:
         if not self.secondary_region:
@@ -167,7 +164,6 @@ class GeoCluster:
             pg_count=config.pg_count,
             backend=config.backend,
         )
-        primary_cfg.instance.driver.group_commit = config.group_commit
         primary = AuroraCluster.build(
             primary_cfg,
             shared=shared,
@@ -181,7 +177,6 @@ class GeoCluster:
             ),
             name_prefix=f"{config.secondary_region}-",
         )
-        secondary_cfg.instance.driver.group_commit = config.group_commit
         secondary = AuroraCluster.build(
             secondary_cfg,
             shared=shared,

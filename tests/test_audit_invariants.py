@@ -47,6 +47,15 @@ def test_deep_runs_with_recovery_and_membership_change(seed):
     assert report.chaos_events > 0
 
 
+def test_default_profile_honours_backend():
+    report = run_audit(
+        AuditRunConfig(seed=2, steps=150, backend="taurus", heal=False)
+    )
+    _assert_clean(report)
+    assert report.ok
+    assert report.backend == "taurus"
+
+
 def test_report_render_mentions_seed():
     report = run_audit(AuditRunConfig(seed=3, steps=30, replicas=0))
     _assert_clean(report)

@@ -94,3 +94,21 @@ class TestCLI:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # Two exclusive profiles: the later one would undo the first.
+            ["--fleet", "--geo"],
+            # Failover on a profile that switches failover off.
+            ["--geo", "--failover"],
+            ["--integrity", "--failover"],
+            # A report path for a report that is never produced.
+            ["--integrity-json", "out.json"],
+        ],
+    )
+    def test_audit_run_rejects_dropped_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit-run", "--steps", "10", *flags])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -151,7 +151,7 @@ class TestAsyncCommitPipeline:
         assert cluster.writer.vcl >= scn
 
     def test_workers_do_not_stall_on_commit(self, cluster):
-        """Many commits can be in flight at once (no group-commit stall)."""
+        """Many commits can be in flight at once (no group commit stall)."""
         db = cluster.session()
         futures = []
         for i in range(10):

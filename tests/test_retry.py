@@ -1,6 +1,6 @@
 """Units for the shared retry/backoff policy (repro.core.retry).
 
-Three subsystems (repair hydration, driver epoch resubmission, WAN
+Three subsystems (repair hydration, storage-node vote rounds, WAN
 retransmission) walk the same exponential-backoff ladder; these tests
 pin its shape so a tweak for one caller cannot silently change the
 others' pacing.
@@ -21,10 +21,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(base_ms=20.0, cap_ms=160.0, multiplier=2.0)
         delays = [policy.delay_for(i) for i in range(6)]
         assert delays == [20.0, 40.0, 80.0, 160.0, 160.0, 160.0]
-
-    def test_immediate_never_waits(self):
-        policy = RetryPolicy.immediate()
-        assert [policy.delay_for(i) for i in range(4)] == [0.0] * 4
 
     def test_multiplier_one_is_constant(self):
         policy = RetryPolicy(base_ms=50.0, cap_ms=500.0, multiplier=1.0)
